@@ -438,7 +438,9 @@ pub struct TransientPoint {
 /// Evaluates a PDCH re-dimensioning transiently: the chain starts in the
 /// *old* configuration's stationary law (mapped onto the new state
 /// space via [`map_distribution`]) and relaxes under the *new*
-/// generator. Returns one [`TransientPoint`] per requested time.
+/// generator. Returns one [`TransientPoint`] per requested time, in the
+/// order given; all times come from one uniformization pass
+/// ([`transient::solve_transient_at`]).
 ///
 /// The distance column answers the controller-design question "how long
 /// must a decision epoch be": steady-state reasoning about the new
@@ -448,13 +450,17 @@ pub struct TransientPoint {
 ///
 /// Propagates construction/solve errors; the configurations must agree
 /// in everything except `reserved_pdchs` (enforced through the state
-/// spaces' `K`/`M` check in [`map_distribution`]).
+/// spaces' `K`/`M` check in [`map_distribution`]). A negative or
+/// non-finite horizon is rejected as [`ModelError::Ctmc`] wrapping
+/// [`gprs_ctmc::CtmcError::InvalidGenerator`] before either model is
+/// built or solved.
 pub fn reconfiguration_transient(
     old: &CellConfig,
     new: &CellConfig,
     times: &[f64],
     opts: &SolveOptions,
 ) -> Result<Vec<TransientPoint>, ModelError> {
+    transient::check_horizons(times)?;
     let old_model = GprsModel::new(old.clone())?;
     let new_model = GprsModel::new(new.clone())?;
     let old_solved = old_model.solve(opts, None)?;
@@ -465,9 +471,9 @@ pub fn reconfiguration_transient(
         old_solved.stationary(),
     )?;
     let target = new_solved.stationary().as_slice();
+    let laws = transient::solve_transient_at(&new_model, &pi0, times)?;
     let mut points = Vec::with_capacity(times.len());
-    for &t in times {
-        let pi_t = transient::solve_transient(&new_model, &pi0, t)?;
+    for (&t, pi_t) in times.iter().zip(laws) {
         let distance = pi_t
             .iter()
             .zip(target)
@@ -673,6 +679,29 @@ mod tests {
         let b = StateSpace::new(3, 6, 2);
         let pi = StationaryDistribution::new(vec![1.0 / a.num_states() as f64; a.num_states()]);
         assert!(map_distribution(&a, &b, &pi).is_err());
+    }
+
+    #[test]
+    fn invalid_horizons_are_rejected_before_any_solve() {
+        // An old configuration that cannot even be built: with valid
+        // horizons its construction is what fails ...
+        let mut broken = small_base();
+        broken.reserved_pdchs = broken.total_channels + 1;
+        let new = small_base();
+        let quick = SolveOptions::quick();
+        let err = reconfiguration_transient(&broken, &new, &[0.0, 1.0], &quick).unwrap_err();
+        assert!(matches!(err, ModelError::Config { .. }), "{err:?}");
+        // ... so a horizon error proves the horizons were checked first.
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = reconfiguration_transient(&broken, &new, &[1.0, bad], &quick).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelError::Ctmc(gprs_ctmc::CtmcError::InvalidGenerator { .. })
+                ),
+                "horizon {bad}: {err:?}"
+            );
+        }
     }
 
     #[test]

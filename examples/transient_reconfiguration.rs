@@ -13,6 +13,11 @@
 //!    (`adaptive::reconfiguration_transient`), and
 //! 2. the worst case — start from an empty cell.
 //!
+//! Every horizon of a relaxation comes from one uniformization pass
+//! (`transient::solve_transient_at`), and the example asserts that the
+//! total-variation distance to steady state never grows with time (the
+//! chain contracts), so it doubles as a CI smoke test.
+//!
 //! ```text
 //! cargo run --release --example transient_reconfiguration
 //! ```
@@ -48,10 +53,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The realistic switch -----------------------------------------
     // Start from the old stationary law (voice counts above the new cap
     // are censored to the boundary) and relax under the new generator.
+    // `times` is sorted: the Markov chain contracts towards its
+    // stationary law, so the total-variation distance may never grow
+    // from one horizon to the next.
     let times = [1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 900.0];
     println!("\nafter switching 1 -> 4 reserved PDCHs under load:");
     println!("  t [s]    CDT      PLP        distance to new steady state");
-    for p in reconfiguration_transient(&old_cfg, &new_cfg, &times, &opts)? {
+    let points = reconfiguration_transient(&old_cfg, &new_cfg, &times, &opts)?;
+    for p in &points {
         println!(
             "  {:>5.0}  {:>7.3}  {:>9.3e}  {:>9.3e}",
             p.time,
@@ -60,6 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p.distance_to_steady_state
         );
     }
+    let distances: Vec<f64> = points.iter().map(|p| p.distance_to_steady_state).collect();
+    assert_contracts("realistic switch", &times, &distances);
 
     // --- The worst case -------------------------------------------------
     // An empty cell is maximally out of equilibrium: this bounds how
@@ -69,8 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     pi0[0] = 1.0;
     println!("\nrelaxation of the new configuration from an empty cell:");
     println!("  t [s]    CDT      PLP        distance to steady state");
-    for &t in &times {
-        let pi_t = transient::solve_transient(&new, &pi0, t)?;
+    let mut distances = Vec::with_capacity(times.len());
+    for (&t, pi_t) in times
+        .iter()
+        .zip(transient::solve_transient_at(&new, &pi0, &times)?)
+    {
         let dist: f64 = pi_t
             .iter()
             .zip(new_solved.stationary().as_slice())
@@ -82,7 +96,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {t:>5.0}  {:>7.3}  {:>9.3e}  {dist:>9.3e}",
             m.carried_data_traffic, m.packet_loss_probability
         );
+        distances.push(dist);
     }
+    assert_contracts("empty cell", &times, &distances);
     println!(
         "\nrule of thumb: measures are trustworthy once the total-variation \
          distance drops below ~1e-2. The realistic switch settles much \
@@ -91,4 +107,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          controller's decision epoch must respect the slower of the two."
     );
     Ok(())
+}
+
+/// Panics unless the distance to steady state never increases along the
+/// sorted horizons (up to 1e-12 of round-off).
+fn assert_contracts(what: &str, times: &[f64], distances: &[f64]) {
+    for (t, d) in times.windows(2).zip(distances.windows(2)) {
+        assert!(
+            d[1] <= d[0] + 1e-12,
+            "{what}: distance grew from {:e} at {} s to {:e} at {} s",
+            d[0],
+            t[0],
+            d[1],
+            t[1]
+        );
+    }
 }
