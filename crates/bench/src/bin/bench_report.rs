@@ -47,6 +47,7 @@
 
 use gprs_bench::{figure_sweep_cell, sweep_rebuild};
 use gprs_core::cluster::{ClusterModel, ClusterSolveOptions, SweepOrdering};
+use gprs_core::codec::{parse_json, JsonValue};
 use gprs_core::sweep::{
     par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates, sweep_arrival_rates_mode,
 };
@@ -66,24 +67,9 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (t0.elapsed().as_secs_f64(), out)
 }
 
-/// Pulls the first `"key": <number>` out of a JSON document. Enough
-/// for the flat reports this binary writes itself (the workspace is
-/// dependency-free, so no JSON parser to lean on).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let rest = &rest[rest.find(':')? + 1..];
-    let end = rest.find([',', '}', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Like [`extract_number`], but starts looking after the first
-/// occurrence of `"section"` — disambiguates keys that repeat across
-/// the report's sections (e.g. `cell_solves_per_sec` appears in both
-/// `cluster` and `graph_sweep`).
-fn extract_number_in(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    extract_number(&json[at..], key)
+/// Looks up the number at `section.key` of a parsed report.
+fn report_number(report: &JsonValue, section: &str, key: &str) -> Option<f64> {
+    report.get(section)?.get(key)?.as_f64()
 }
 
 const USAGE: &str = "usage: bench-report [--quick] [--check BASELINE.json] [OUTPUT.json]";
@@ -278,14 +264,14 @@ fn main() {
         "shape-keyed dedup must collapse the corridor to its 5 cell kinds"
     );
 
-    // --- Sharded fixed point: the 1000-cell corridor through the
-    // persistent partition workers vs the single-scan baseline. Small
-    // per-cell state spaces put the solve in the overhead-dominated
-    // regime metro layouts live in (per-solve fixed costs — capture,
-    // measures extraction, decode — dwarf the CTMC sweeps), which is
-    // exactly what the shard engine's owned templates eliminate.
-    // Identical options on both sides, so the bitwise contract is
-    // asserted on the measured pair before the rates are trusted. ---
+    // --- Sharded fixed point: the 1000-cell corridor at 2 and 4
+    // shards vs the same engine at 1 shard (inline on this thread).
+    // Small per-cell state spaces put the solve in the
+    // overhead-dominated regime metro layouts live in (per-solve fixed
+    // costs — capture, measures extraction, decode — dwarf the CTMC
+    // sweeps). Identical options on every side, so the bitwise
+    // contract is asserted on the measured pair before the rates are
+    // trusted. ---
     let shard_n = 1000usize;
     let shard_cells: Vec<CellConfig> = (0..shard_n)
         .map(|i| {
@@ -308,14 +294,13 @@ fn main() {
     // check_every(1) converges each cell solve at the earliest sweep
     // and the predict-and-verify surrogate serves the late, tiny-step
     // iterations of the deep 1e-14 fixed point from verified
-    // extrapolations, keeping the workload overhead-dominated; threads
-    // pinned to 1 so the comparison isolates the shard engine's
-    // per-solve savings from plain thread fan-out.
+    // extrapolations, keeping the workload overhead-dominated. Every
+    // column sets its shard count explicitly, so the speedup is what
+    // the extra shard threads buy over one shard.
     let shard_opts = ClusterSolveOptions::quick()
         .with_solve(solve_opts.clone().with_check_every(1))
         .with_surrogate(true)
-        .with_tolerance(1e-14)
-        .with_threads(1);
+        .with_tolerance(1e-14);
     // Best-of-3, interleaved: each round times the baseline and every
     // shard count back to back, so page-cache warm-up and scheduler
     // noise land on all columns alike; the per-column minimum is the
@@ -567,8 +552,10 @@ fn main() {
     if let Some(baseline_path) = check_path {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline_refill = extract_number(&baseline, "refill_points_per_sec")
-            .unwrap_or_else(|| panic!("no refill_points_per_sec in {baseline_path}"));
+        let baseline =
+            parse_json(&baseline).unwrap_or_else(|e| panic!("parse baseline {baseline_path}: {e}"));
+        let baseline_refill = report_number(&baseline, "sweep", "refill_points_per_sec")
+            .unwrap_or_else(|| panic!("no sweep.refill_points_per_sec in {baseline_path}"));
         let floor = 0.75 * baseline_refill;
         if sweep_refill_pps < floor {
             eprintln!(
@@ -584,7 +571,7 @@ fn main() {
         // Metro-scale gate: the corridor graph sweep. Absent from
         // baselines older than schema v2 — skip with a note rather
         // than fail runs against a stale baseline.
-        match extract_number_in(&baseline, "graph_sweep", "cell_solves_per_sec") {
+        match report_number(&baseline, "graph_sweep", "cell_solves_per_sec") {
             Some(baseline_metro) => {
                 let floor = 0.75 * baseline_metro;
                 if metro_pps < floor {

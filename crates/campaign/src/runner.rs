@@ -342,11 +342,11 @@ fn run_batch(
 
 /// Doubles the iteration/sweep/wall-time budgets `attempt` times
 /// (tolerances untouched — retries buy room, not looseness) and pins
-/// inner solves to one thread and one shard when the spec leaves the
-/// counts adaptive: the campaign parallelizes *across* items, and
-/// nested pools (thread fan-outs or per-item shard workers picking up
-/// a machine-wide `GPRS_SHARDS`) would oversubscribe. A spec that
-/// explicitly sets `shards` keeps it.
+/// inner solves to one thread when the spec leaves the count adaptive:
+/// the campaign parallelizes *across* items, and nested per-item
+/// workers would oversubscribe. An unset `shards` follows `threads`,
+/// so it runs one shard inline; a spec that explicitly sets `shards`
+/// keeps it.
 fn escalate(
     base: &ClusterSolveOptions,
     retry: &RetryPolicy,
@@ -355,9 +355,6 @@ fn escalate(
     let mut opts = base.clone();
     if opts.threads == 0 {
         opts.threads = 1;
-    }
-    if opts.shards == 0 {
-        opts.shards = 1;
     }
     let factor = 1usize << attempt.min(MAX_ESCALATION_SHIFT);
     opts.max_iterations = opts.max_iterations.saturating_mul(factor);

@@ -16,10 +16,10 @@
 //! 1. solve each cell's CTMC under its current incoming handover rates
 //!    `(λ_h,GSM[i], λ_h,GPRS[i])` — via
 //!    [`crate::GprsModel::with_handover_arrivals`], lowered through one
-//!    [`GeneratorTemplate`] per cell that persists across all outer
-//!    iterations (shared state space, solver workspace and CSR
-//!    pattern; each pass only refills rates) and warm-starts from the
-//!    cell's previous iterate;
+//!    [`GeneratorTemplate`](crate::template::GeneratorTemplate) per
+//!    cell that persists across all outer iterations (shared state
+//!    space, solver workspace and CSR pattern; each pass only refills
+//!    rates) and warm-starts from the cell's previous iterate;
 //! 2. read the mean populations `E[n_i]`, `E[m_i]` off the stationary
 //!    distributions and form the outgoing fluxes `μ_h,GSM·E[n_i]` and
 //!    `μ_h,GPRS·E[m_i]`, split uniformly over the six neighbours
@@ -29,10 +29,15 @@
 //!
 //! Under uniform load the fixed point coincides with the scalar balance
 //! (every cell's inflow equals its own outflow), which is both the
-//! initialization and the oracle the test suite checks against. The
-//! seven per-iteration cell solves are independent, so they fan out over
-//! [`gprs_exec::par_map_tasks`] — results are bit-identical
-//! for any thread count.
+//! initialization and the oracle the test suite checks against.
+//!
+//! One engine runs every solve: `crate::shard` partitions the graph
+//! into [`ClusterSolveOptions::shards`] contiguous shards, each owned
+//! by a persistent worker that keeps its cells' templates for the whole
+//! solve and exchanges only boundary fluxes between outer iterations.
+//! One shard runs inline on the calling thread. Results are
+//! bit-identical for every shard and thread count, and
+//! `tests/fixtures/cluster_engines.txt` pins them bit for bit.
 //!
 //! # Example
 //!
@@ -62,14 +67,12 @@
 use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::graph::CellGraph;
-use crate::health::{SolveHealth, SolveRung};
+use crate::health::SolveHealth;
 use crate::measures::Measures;
-use crate::template::{GeneratorTemplate, TemplateRegistry, WarmStart};
+use crate::template::TemplateRegistry;
 use gprs_ctmc::solver::SolveOptions;
-use gprs_exec::{num_threads, par_map_tasks};
+use gprs_exec::num_threads;
 use gprs_queueing::handover::{balance_default, HandoverParams};
-use gprs_queueing::QueueingError;
-use std::sync::Mutex;
 
 /// Number of cells in the legacy 7-cell ring cluster — the default
 /// topology of [`ClusterModel::new`] and the paper's validation setup.
@@ -176,9 +179,10 @@ pub struct ClusterSolveOptions {
     pub max_iterations: usize,
     /// Options for the inner per-cell CTMC solves.
     pub solve: SolveOptions,
-    /// Worker threads for the per-iteration cell fan-out; `0` (the
-    /// default) uses [`gprs_exec::num_threads`]. Results are
-    /// identical for any value.
+    /// Worker threads for the solve; `0` (the default) uses
+    /// [`gprs_exec::num_threads`]. It bounds the solve only while
+    /// [`shards`](Self::shards) is unset: the shard count then follows
+    /// it. Results are identical for any value.
     pub threads: usize,
     /// Adaptive relaxation of the outer fixed point (default `true`),
     /// two complementary mechanisms:
@@ -196,8 +200,9 @@ pub struct ClusterSolveOptions {
     ///   convergence *beyond* the remaining iteration budget, the step
     ///   is extrapolated Aitken-style to `1/(1−ratio)` (capped), which
     ///   collapses the slow mode. Hot-spot cases that previously ended
-    ///   in [`QueueingError::BalanceNotConverged`] converge well inside
-    ///   the budget with this on.
+    ///   in
+    ///   [`QueueingError::BalanceNotConverged`](gprs_queueing::QueueingError::BalanceNotConverged)
+    ///   converge well inside the budget with this on.
     ///
     /// Trajectories that converge within the budget without
     /// oscillating are untouched: the factor stays at `1` and every
@@ -212,25 +217,25 @@ pub struct ClusterSolveOptions {
     /// Use the predict-and-verify surrogate for inner cell solves
     /// (default `false`, which keeps the fixed point bit-identical to
     /// the historical iteration). When on, each cell solve runs with
-    /// [`WarmStart::Predicted`]: once a cell's warm-start chain has two
-    /// predecessors, the extrapolated iterate is residual-checked
-    /// first and served without solver sweeps when it already meets
+    /// [`WarmStart::Predicted`](crate::template::WarmStart::Predicted):
+    /// once a cell's warm-start chain has two predecessors, the
+    /// extrapolated iterate is residual-checked first and served
+    /// without solver sweeps when it already meets
     /// `solve.tolerance` — outer iterations near the fixed point, where
     /// the arrival vector barely moves, become nearly free. Every
     /// served point still satisfies the same residual contract as a
     /// full solve; [`SolvedCluster::surrogate_solves`] reports how
     /// often the shortcut fired.
     pub surrogate: bool,
-    /// Shard count for the partitioned fixed-point engine. `0` (the
-    /// default) reads the `GPRS_SHARDS` environment variable (itself
-    /// defaulting to 1); `1` runs the classic single-scan engine; `2+`
-    /// partitions the cell graph into that many contiguous shards
-    /// ([`CellGraph::partition`]), each owned by a persistent worker
-    /// that holds its cells' templates for the entire solve and
-    /// exchanges only boundary fluxes between outer iterations. The
-    /// count is clamped to the cell count. Results are **bitwise
-    /// identical** for every value — sharding is purely an execution
-    /// strategy.
+    /// Shard count of the fixed point: the cell graph is cut into that
+    /// many contiguous shards ([`CellGraph::partition`]), each owned by
+    /// a persistent worker thread that holds its cells' templates for
+    /// the entire solve and exchanges only boundary fluxes between
+    /// outer iterations; one shard runs inline on the calling thread.
+    /// `0` (the default) follows [`threads`](Self::threads), so an
+    /// explicit `k` runs `k` threads whatever `threads` says. The count
+    /// is clamped to the cell count. Results are **bitwise identical**
+    /// for every value — sharding is purely an execution strategy.
     pub shards: usize,
 }
 
@@ -305,14 +310,16 @@ impl ClusterSolveOptions {
         self
     }
 
-    /// The shard count after resolving the `0 = GPRS_SHARDS env`
-    /// default (still unclamped — callers clamp to the cell count).
-    pub(crate) fn effective_shards(&self) -> usize {
-        if self.shards == 0 {
-            gprs_exec::num_shards()
-        } else {
-            self.shards
-        }
+    /// The shard count for a `cells`-cell graph: `shards`, or the
+    /// resolved thread count when `shards` is `0`, clamped to
+    /// `1..=cells`.
+    pub(crate) fn effective_shards(&self, cells: usize) -> usize {
+        let shards = match (self.shards, self.threads) {
+            (0, 0) => num_threads(),
+            (0, threads) => threads,
+            (shards, _) => shards,
+        };
+        shards.clamp(1, cells.max(1))
     }
 }
 
@@ -367,8 +374,8 @@ pub struct SolvedCluster {
 }
 
 impl SolvedCluster {
-    /// Crate-internal assembler for the sharded engine (`crate::shard`)
-    /// — field-for-field what the single-scan paths construct.
+    /// Crate-internal assembler for the fixed-point engine
+    /// (`crate::shard`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         cells: Vec<SolvedCell>,
@@ -465,18 +472,6 @@ impl SolvedCluster {
             .sum();
         (total_in - total_out).abs() / total_in.max(total_out).max(1e-300)
     }
-}
-
-/// Outcome of one inner cell solve (one cell, one outer iteration).
-/// The stationary vector itself stays in the cell's template (it *is*
-/// the next iteration's warm start), so outer iterations copy nothing.
-struct CellSolve {
-    measures: Measures,
-    mean_voice_calls: f64,
-    mean_sessions: f64,
-    sweeps: usize,
-    residual: f64,
-    health: SolveHealth,
 }
 
 /// The heterogeneous analytical cluster model: one configuration per
@@ -613,25 +608,26 @@ impl ClusterModel {
     /// Initialization: each cell starts from its own *scalar* balance
     /// (`gprs_queueing::handover::balance_default`) — exact under
     /// uniform load, a good neighbourhood for heterogeneous loads. Each
-    /// outer iteration fans the seven cell solves out over
-    /// `opts.threads` workers and warm-starts every cell from its
+    /// outer iteration solves every cell on its shard's worker (see
+    /// [`ClusterSolveOptions::shards`]) and warm-starts it from its
     /// previous stationary distribution; once the handover arrival
     /// vector moves less than `opts.tolerance` (relative), one final
     /// pass at the converged rates produces the reported measures.
-    /// Results are deterministic and bit-identical for any thread
-    /// count.
+    /// Results are deterministic and bit-identical for any shard and
+    /// thread count.
     ///
     /// # Errors
     ///
     /// * [`ModelError::Queueing`] with
-    ///   [`QueueingError::BalanceNotConverged`] if `opts.max_iterations`
-    ///   outer iterations do not converge.
+    ///   [`QueueingError::BalanceNotConverged`](gprs_queueing::QueueingError::BalanceNotConverged)
+    ///   if `opts.max_iterations` outer iterations do not converge.
     /// * Any cell construction or inner solver error, attributed to the
     ///   lowest failing cell index (deterministic across thread
     ///   counts).
     ///
     /// Convergence hardening: each cell solve runs through the
-    /// fallback ladder of [`GeneratorTemplate::solve_resilient`]
+    /// fallback ladder of
+    /// [`GeneratorTemplate::solve_resilient`](crate::template::GeneratorTemplate::solve_resilient)
     /// (health reported per cell in [`SolvedCell::health`]), and the
     /// Jacobi iteration applies the adaptive relaxation described on
     /// [`ClusterSolveOptions::adaptive_relaxation`].
@@ -657,17 +653,8 @@ impl ClusterModel {
         opts: &ClusterSolveOptions,
         registry: &TemplateRegistry,
     ) -> Result<SolvedCluster, ModelError> {
-        let shards = opts.effective_shards().min(self.num_cells()).max(1);
-        if shards > 1 {
-            // The sharded engine: persistent partition workers with
-            // halo-exchange boundary fluxes — bitwise identical to the
-            // single-scan paths below for every shard count.
-            return crate::shard::solve_sharded(self, opts, registry, shards);
-        }
-        match opts.ordering {
-            SweepOrdering::Jacobi => self.solve_jacobi(opts, registry),
-            SweepOrdering::GaussSeidel => self.solve_gauss_seidel(opts, registry),
-        }
+        let shards = opts.effective_shards(self.num_cells());
+        crate::shard::solve_sharded(self, opts, registry, shards)
     }
 
     /// Scalar-balance initialization, per cell and per class: the
@@ -700,398 +687,6 @@ impl ClusterModel {
         }
         Ok((lam_gsm, lam_gprs))
     }
-
-    /// One template per cell, shared across *all* outer iterations:
-    /// the solver workspace and warm-start chain are captured once,
-    /// and each iteration only relowers the new handover rates. The
-    /// registry deduplicates the *symbolic* setup by cell shape —
-    /// cells of equal shape share one [`crate::template::SymbolicSetup`]
-    /// (donor CSR pattern) while keeping their own numeric state, so a
-    /// metro-scale cluster with a handful of cell kinds pays a handful
-    /// of setups. The mutexes are uncontended (each task touches
-    /// exactly its own cell) and keep the fan-out closure `Fn`.
-    fn cell_templates(
-        &self,
-        registry: &TemplateRegistry,
-    ) -> Result<Vec<Mutex<GeneratorTemplate>>, ModelError> {
-        self.configs
-            .iter()
-            .map(|cfg| Ok(Mutex::new(registry.template_for(cfg)?)))
-            .collect()
-    }
-
-    /// The classic simultaneous (Jacobi) iteration — on the 7-cell
-    /// ring bit-identical to the historical fixed point.
-    fn solve_jacobi(
-        &self,
-        opts: &ClusterSolveOptions,
-        registry: &TemplateRegistry,
-    ) -> Result<SolvedCluster, ModelError> {
-        let n = self.num_cells();
-        let threads = if opts.threads == 0 {
-            num_threads()
-        } else {
-            opts.threads
-        };
-
-        let (mut lam_gsm, mut lam_gprs) = self.initial_rates()?;
-        let templates = self.cell_templates(registry)?;
-        let warm = if opts.surrogate {
-            WarmStart::Predicted
-        } else {
-            WarmStart::Chained
-        };
-        let mut total_sweeps = vec![0usize; n];
-        let mut surrogate_solves = 0usize;
-        let mut delta = f64::INFINITY;
-        let mut converged = false;
-
-        // Adaptive under-relaxation state: the raw update vectors
-        // `F(λ) − λ` of the current and previous iteration (GSM and
-        // GPRS entries interleaved) and the current step factor.
-        let mut theta = 1.0f64;
-        let mut adaptive_steps = 0usize;
-        let mut next_vals = vec![0.0f64; 2 * n];
-        let mut update = vec![0.0f64; 2 * n];
-        let mut prev_update = vec![0.0f64; 2 * n];
-        let mut have_prev = false;
-
-        // One slot past the cap: the cap bounds *balance* iterations,
-        // and the reporting pass of a vector that converged exactly at
-        // the cap still needs its re-solve (it updates nothing).
-        for iteration in 1..=opts.max_iterations + 1 {
-            if iteration > opts.max_iterations && !converged {
-                break;
-            }
-            // Solve all cells at the current arrival vector (parallel,
-            // deterministic: results come back in cell order, and each
-            // cell's warm-start chain advances identically no matter
-            // which worker runs it).
-            let solves: Vec<Result<CellSolve, ModelError>> = par_map_tasks(n, threads, |i| {
-                let mut template = templates[i].lock().expect("cell template poisoned");
-                solve_cell(
-                    &self.configs[i],
-                    lam_gsm[i],
-                    lam_gprs[i],
-                    &mut template,
-                    &opts.solve,
-                    warm,
-                )
-            });
-            let mut cells = Vec::with_capacity(n);
-            for solve in solves {
-                cells.push(solve?); // lowest failing cell wins
-            }
-            surrogate_solves += cells
-                .iter()
-                .filter(|c| c.health.rung == SolveRung::Surrogate)
-                .count();
-
-            // Outgoing fluxes from the stationary populations, split
-            // over the graph's out-edges by raw weight.
-            let out_gsm: Vec<f64> = cells
-                .iter()
-                .zip(&self.configs)
-                .map(|(c, cfg)| cfg.gsm_handover_rate() * c.mean_voice_calls)
-                .collect();
-            let out_gprs: Vec<f64> = cells
-                .iter()
-                .zip(&self.configs)
-                .map(|(c, cfg)| cfg.gprs_handover_rate() * c.mean_sessions)
-                .collect();
-
-            for (i, cell) in cells.iter().enumerate() {
-                total_sweeps[i] += cell.sweeps;
-            }
-
-            if converged {
-                // Final pass ran at the converged vector: report it.
-                let solved = cells
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| SolvedCell {
-                        measures: c.measures,
-                        gsm_handover_in: lam_gsm[i],
-                        gprs_handover_in: lam_gprs[i],
-                        gsm_handover_out: out_gsm[i],
-                        gprs_handover_out: out_gprs[i],
-                        mean_voice_calls: c.mean_voice_calls,
-                        mean_sessions: c.mean_sessions,
-                        sweeps: total_sweeps[i],
-                        residual: c.residual,
-                        health: c.health,
-                    })
-                    .collect();
-                return Ok(SolvedCluster {
-                    cells: solved,
-                    iterations: iteration,
-                    handover_delta: delta,
-                    relaxation: theta,
-                    adaptive_steps,
-                    symbolic_setups: registry.setups(),
-                    surrogate_solves,
-                });
-            }
-
-            // Next arrival vector: each cell receives `w/W` of every
-            // in-neighbour's outgoing flux (in ascending source order —
-            // on the ring, with unit weights over total 6, the sum is
-            // bit-identical to the historical `out/6` accumulation).
-            // `delta` measures the *raw* fixed-point residual
-            // `|F(λ) − λ|` (pre-damping), so convergence means the
-            // vector genuinely is stationary, not merely that the
-            // damped step got small.
-            delta = 0.0f64;
-            for j in 0..n {
-                let mut next_gsm = 0.0;
-                let mut next_gprs = 0.0;
-                for e in self.graph.in_edges(j)? {
-                    next_gsm += out_gsm[e.source] * e.weight / e.source_total;
-                    next_gprs += out_gprs[e.source] * e.weight / e.source_total;
-                }
-                for (slot, (cur, next)) in [(&lam_gsm[j], next_gsm), (&lam_gprs[j], next_gprs)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let scale = cur.abs().max(next.abs()).max(1e-300);
-                    delta = delta.max((next - *cur).abs() / scale);
-                    next_vals[2 * j + slot] = next;
-                    update[2 * j + slot] = next - *cur;
-                }
-            }
-
-            // Adaptive relaxation. Two successive updates pointing in
-            // opposite directions *without shrinking* mean the vector
-            // is ping-ponging around the fixed point: halve the step
-            // (an alternating mode already contracting below half per
-            // step converges on its own and is left alone). Aligned
-            // updates whose contraction ratio projects convergence
-            // beyond the remaining iteration budget get the Aitken
-            // step `1/(1−ratio)`, collapsing the slow mode; everything
-            // else runs at `θ = 1`, which assigns the raw next vector
-            // verbatim — bit-identical to the fixed iteration.
-            if opts.adaptive_relaxation && have_prev {
-                let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
-                let cur_sq: f64 = update.iter().map(|u| u * u).sum();
-                let prev_sq: f64 = prev_update.iter().map(|u| u * u).sum();
-                if dot < 0.0 && cur_sq > 0.25 * prev_sq {
-                    theta = (0.5 * theta).max(MIN_RELAXATION);
-                } else if dot > 0.0 {
-                    let ratio = (cur_sq / prev_sq.max(1e-300)).sqrt();
-                    let projected = if ratio > 0.0 && ratio < 1.0 && delta > opts.tolerance {
-                        (delta / opts.tolerance).ln() / -ratio.ln()
-                    } else {
-                        0.0
-                    };
-                    let remaining = opts.max_iterations.saturating_sub(iteration) as f64;
-                    if projected > remaining {
-                        theta = (1.0 / (1.0 - ratio)).min(MAX_RELAXATION);
-                    } else if theta < 1.0 {
-                        theta = (1.5 * theta).min(1.0);
-                    } else {
-                        theta = 1.0;
-                    }
-                }
-            }
-            if theta != 1.0 {
-                adaptive_steps += 1;
-            }
-            for j in 0..n {
-                if theta == 1.0 {
-                    lam_gsm[j] = next_vals[2 * j];
-                    lam_gprs[j] = next_vals[2 * j + 1];
-                } else {
-                    // Extrapolated steps may overshoot; arrival rates
-                    // stay physical.
-                    lam_gsm[j] = (lam_gsm[j] + theta * update[2 * j]).max(0.0);
-                    lam_gprs[j] = (lam_gprs[j] + theta * update[2 * j + 1]).max(0.0);
-                }
-            }
-            std::mem::swap(&mut prev_update, &mut update);
-            have_prev = true;
-
-            if delta <= opts.tolerance {
-                converged = true; // one more pass at the converged rates
-            }
-        }
-
-        Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-            iterations: opts.max_iterations,
-            last_delta: delta,
-        }))
-    }
-
-    /// Graph-ordered block Gauss–Seidel sweeps: colour classes run
-    /// sequentially, each class recomputes its arrival rates from the
-    /// *latest* outflows and solves its cells in parallel (no two
-    /// share an edge). Runs plain (no adaptive relaxation); converges
-    /// in fewer outer iterations than Jacobi on elongated topologies.
-    /// Deterministic and bit-identical for any thread count: the class
-    /// order is fixed by the graph, and each cell's template is only
-    /// ever touched by its own task.
-    fn solve_gauss_seidel(
-        &self,
-        opts: &ClusterSolveOptions,
-        registry: &TemplateRegistry,
-    ) -> Result<SolvedCluster, ModelError> {
-        let n = self.num_cells();
-        let threads = if opts.threads == 0 {
-            num_threads()
-        } else {
-            opts.threads
-        };
-
-        let (mut lam_gsm, mut lam_gprs) = self.initial_rates()?;
-        let templates = self.cell_templates(registry)?;
-        let classes = self.graph.color_classes();
-        let warm = if opts.surrogate {
-            WarmStart::Predicted
-        } else {
-            WarmStart::Chained
-        };
-        let mut total_sweeps = vec![0usize; n];
-        let mut surrogate_solves = 0usize;
-
-        // At the scalar-balance init every cell's inflow equals its
-        // own outflow, so the outflow estimate seeds from λ itself.
-        let mut out_gsm = lam_gsm.clone();
-        let mut out_gprs = lam_gprs.clone();
-        let mut delta = f64::INFINITY;
-
-        for iteration in 1..=opts.max_iterations {
-            delta = 0.0f64;
-            for class in &classes {
-                // Refresh the class's arrival rates from the latest
-                // outflows (cells of earlier classes already updated
-                // theirs this sweep — that is the Gauss–Seidel gain).
-                for &j in class {
-                    let mut next_gsm = 0.0;
-                    let mut next_gprs = 0.0;
-                    for e in self.graph.in_edges(j)? {
-                        next_gsm += out_gsm[e.source] * e.weight / e.source_total;
-                        next_gprs += out_gprs[e.source] * e.weight / e.source_total;
-                    }
-                    for (cur, next) in [(&mut lam_gsm[j], next_gsm), (&mut lam_gprs[j], next_gprs)]
-                    {
-                        let scale = cur.abs().max(next.abs()).max(1e-300);
-                        delta = delta.max((next - *cur).abs() / scale);
-                        *cur = next;
-                    }
-                }
-                // Solve the class (parallel, deterministic in class
-                // index order).
-                let solves: Vec<Result<CellSolve, ModelError>> =
-                    par_map_tasks(class.len(), threads.clamp(1, class.len().max(1)), |idx| {
-                        let i = class[idx];
-                        let mut template = templates[i].lock().expect("cell template poisoned");
-                        solve_cell(
-                            &self.configs[i],
-                            lam_gsm[i],
-                            lam_gprs[i],
-                            &mut template,
-                            &opts.solve,
-                            warm,
-                        )
-                    });
-                for (idx, solve) in solves.into_iter().enumerate() {
-                    let i = class[idx];
-                    let cell = solve?; // lowest failing cell of the class wins
-                    total_sweeps[i] += cell.sweeps;
-                    if cell.health.rung == SolveRung::Surrogate {
-                        surrogate_solves += 1;
-                    }
-                    out_gsm[i] = self.configs[i].gsm_handover_rate() * cell.mean_voice_calls;
-                    out_gprs[i] = self.configs[i].gprs_handover_rate() * cell.mean_sessions;
-                }
-            }
-
-            if delta <= opts.tolerance {
-                // Reporting pass: re-solve every cell simultaneously at
-                // the converged arrival vector (mirrors Jacobi's final
-                // pass, and counts as one iteration like it does).
-                let solves: Vec<Result<CellSolve, ModelError>> = par_map_tasks(n, threads, |i| {
-                    let mut template = templates[i].lock().expect("cell template poisoned");
-                    solve_cell(
-                        &self.configs[i],
-                        lam_gsm[i],
-                        lam_gprs[i],
-                        &mut template,
-                        &opts.solve,
-                        warm,
-                    )
-                });
-                let mut solved = Vec::with_capacity(n);
-                for (i, solve) in solves.into_iter().enumerate() {
-                    let c = solve?;
-                    total_sweeps[i] += c.sweeps;
-                    if c.health.rung == SolveRung::Surrogate {
-                        surrogate_solves += 1;
-                    }
-                    solved.push(SolvedCell {
-                        measures: c.measures,
-                        gsm_handover_in: lam_gsm[i],
-                        gprs_handover_in: lam_gprs[i],
-                        gsm_handover_out: self.configs[i].gsm_handover_rate() * c.mean_voice_calls,
-                        gprs_handover_out: self.configs[i].gprs_handover_rate() * c.mean_sessions,
-                        mean_voice_calls: c.mean_voice_calls,
-                        mean_sessions: c.mean_sessions,
-                        sweeps: total_sweeps[i],
-                        residual: c.residual,
-                        health: c.health,
-                    });
-                }
-                return Ok(SolvedCluster {
-                    cells: solved,
-                    iterations: iteration + 1,
-                    handover_delta: delta,
-                    relaxation: 1.0,
-                    adaptive_steps: 0,
-                    symbolic_setups: registry.setups(),
-                    surrogate_solves,
-                });
-            }
-        }
-
-        Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-            iterations: opts.max_iterations,
-            last_delta: delta,
-        }))
-    }
-}
-
-/// Solves one cell under given incoming handover rates through its
-/// template's fallback ladder (warm-started from the cell's previous
-/// iterate, zero `O(states)` allocations per iteration on the happy
-/// path) and reads the populations off the stationary distribution.
-fn solve_cell(
-    config: &CellConfig,
-    lam_gsm: f64,
-    lam_gprs: f64,
-    template: &mut GeneratorTemplate,
-    opts: &SolveOptions,
-    warm: WarmStart,
-) -> Result<CellSolve, ModelError> {
-    let model = template.model_with_handovers(config.clone(), lam_gsm, lam_gprs)?;
-    let solved = template.solve_resilient(&model, opts, warm)?;
-    let space = model.space();
-    let mut mean_voice_calls = 0.0f64;
-    let mut mean_sessions = 0.0f64;
-    for (idx, &p) in template.stationary().iter().enumerate() {
-        if p == 0.0 {
-            continue;
-        }
-        let s = space.decode(idx);
-        mean_voice_calls += p * s.n as f64;
-        mean_sessions += p * s.m as f64;
-    }
-    Ok(CellSolve {
-        measures: solved.measures,
-        mean_voice_calls,
-        mean_sessions,
-        sweeps: solved.sweeps,
-        residual: solved.residual,
-        health: solved.health,
-    })
 }
 
 /// One point of a cluster load sweep.
@@ -1189,6 +784,7 @@ fn solve_scale_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gprs_queueing::QueueingError;
     use gprs_traffic::TrafficModel;
 
     fn tiny(rate: f64) -> CellConfig {
@@ -1601,6 +1197,36 @@ mod tests {
         // outflow share, so it is a net exporter.
         let end = &solved.cells()[0];
         assert!(end.gsm_handover_in < end.gsm_handover_out);
+    }
+
+    #[test]
+    fn unset_shards_follow_the_thread_count() {
+        let three = ClusterSolveOptions::quick().with_threads(3);
+        assert_eq!(three.effective_shards(7), 3);
+        assert_eq!(three.effective_shards(2), 2, "clamped to the cell count");
+        assert_eq!(three.clone().with_shards(5).effective_shards(7), 5);
+        let unset = ClusterSolveOptions::quick();
+        assert_eq!(unset.effective_shards(1000), num_threads().min(1000));
+
+        // The resolved count is an execution layout only: every solve
+        // is bitwise equal to the same solve at an explicit count.
+        // (`Debug` prints each f64 in its shortest round-trip form, so
+        // equal renderings mean equal bits.)
+        let ring = ClusterModel::hot_spot(tiny(0.3), 0.9).unwrap();
+        let pair =
+            ClusterModel::from_graph(CellGraph::corridor(2).unwrap(), vec![tiny(0.3), tiny(0.6)])
+                .unwrap();
+        for (model, opts, k) in [
+            (&ring, &three, 3),
+            (&pair, &three, 2),
+            (&ring, &unset, num_threads().min(7)),
+        ] {
+            let implicit = model.solve(opts).unwrap();
+            let explicit = model
+                .solve(&ClusterSolveOptions::quick().with_shards(k))
+                .unwrap();
+            assert_eq!(format!("{implicit:?}"), format!("{explicit:?}"), "k = {k}");
+        }
     }
 
     #[test]

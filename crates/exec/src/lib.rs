@@ -83,20 +83,6 @@ pub fn num_threads() -> usize {
     }
 }
 
-/// The default shard count for partitioned solvers: the `GPRS_SHARDS`
-/// environment variable when set to a positive integer, otherwise 1
-/// (sharding is opt-in — unlike [`num_threads`], it changes *which
-/// engine* runs, so the conservative default is the legacy scan).
-pub fn num_shards() -> usize {
-    match std::env::var("GPRS_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => 1,
-    }
-}
-
 /// Splits `0..n` into at most `chunks` contiguous ranges of near-equal
 /// length (deterministic for given `n` and `chunks`).
 pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {

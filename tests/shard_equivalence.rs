@@ -1,9 +1,15 @@
-//! The sharded-fixed-point contract: for every shard count and both
-//! sweep orderings, the partitioned halo-exchange engine is **bitwise
-//! identical** to the classic single-scan engine — same iteration
-//! counts, same relaxation trace, and bit-equal floating point in
-//! every per-cell field and measure. Sharding is an execution layout,
-//! never a numeric approximation.
+//! The shard-count contract: for every shard count, thread count and
+//! both sweep orderings, the cluster fixed point is **bitwise
+//! identical** — same iteration counts, same relaxation trace, and
+//! bit-equal floating point in every per-cell field and measure.
+//! Sharding is an execution layout, never a numeric approximation.
+//!
+//! Shard counts are compared with each other (the 1-shard solve, which
+//! runs inline on the calling thread, is the reference) and with the
+//! committed fixture `tests/fixtures/cluster_engines.txt`.
+
+#[path = "support/cluster_engines.rs"]
+mod cluster_engines;
 
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::{CellConfig, CellGraph, ClusterModel, SolvedCluster, SweepOrdering};
@@ -136,14 +142,14 @@ fn assert_bitwise_equal(a: &SolvedCluster, b: &SolvedCluster, what: &str) {
     }
 }
 
-/// The workhorse: solve one model with the classic engine (`shards = 1`)
-/// and with the sharded engine at several shard counts, across thread
-/// counts, for one ordering — all must be bit-identical.
+/// The workhorse: solve one model at one shard and at several higher
+/// shard counts, across thread counts, for one ordering — all must be
+/// bit-identical.
 fn check_model(model: &ClusterModel, ordering: SweepOrdering, what: &str) {
     let base = ClusterSolveOptions::quick().with_ordering(ordering);
     let reference = model
         .solve(&base.clone().with_shards(1))
-        .expect("classic solve converges");
+        .expect("1-shard solve converges");
     for shards in [2usize, 3, 4, 7] {
         for threads in [1usize, 4] {
             let opts = base.clone().with_shards(shards).with_threads(threads);
@@ -157,10 +163,24 @@ fn check_model(model: &ClusterModel, ordering: SweepOrdering, what: &str) {
     }
 }
 
+/// Every scenario of the committed fixture, rendered at several shard
+/// counts — explicit (past the ring's cell count, where it is clamped,
+/// and whatever `threads` says) and left unset so the count follows
+/// the thread count — reproduces the pinned lines.
+#[test]
+fn fixture_holds_at_every_shard_count() {
+    for (shards, threads) in [(3, 1), (8, 2), (0, 0)] {
+        cluster_engines::assert_matches_fixture(
+            &cluster_engines::render(shards, threads),
+            &format!("shards={shards}/threads={threads}"),
+        );
+    }
+}
+
 /// The paper's 7-cell ring, homogeneous load: both orderings, shard
 /// counts past the cell count (clamped), multiple pool widths.
 #[test]
-fn ring7_sharded_matches_classic_bitwise() {
+fn ring7_shard_counts_match_bitwise() {
     let model = ClusterModel::uniform(tiny(0.35)).unwrap();
     check_model(&model, SweepOrdering::Jacobi, "ring7");
     check_model(&model, SweepOrdering::GaussSeidel, "ring7");
@@ -170,7 +190,7 @@ fn ring7_sharded_matches_classic_bitwise() {
 /// contiguous runs, with a load gradient so every cell's fixed point
 /// differs.
 #[test]
-fn corridor_sharded_matches_classic_bitwise() {
+fn corridor_shard_counts_match_bitwise() {
     let n = 12;
     let graph = CellGraph::corridor(n).unwrap();
     let cells: Vec<CellConfig> = (0..n).map(|i| tiny(0.2 + 0.03 * i as f64)).collect();
@@ -205,7 +225,7 @@ fn surrogate_solves_survive_sharding() {
 }
 
 /// The nightly metro-scale contract: a 1000-cell corridor solved
-/// sharded is bit-identical to the classic scan. Ignored in tier-1
+/// sharded is bit-identical to the 1-shard solve. Ignored in tier-1
 /// (minutes of work); CI runs it in the scheduled job via
 /// `cargo test -- --ignored shard_equivalence_metro`.
 #[test]
@@ -229,10 +249,9 @@ proptest! {
     // Full cluster solves per case; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// On random connected graphs with random loads, `shards = 1`
-    /// through the dispatch knob is the classic engine (satellite
-    /// contract: shard-count-1 degenerates to today's scan), and any
-    /// higher count matches it bitwise.
+    /// On random connected graphs with random loads, the default
+    /// (unset) shard count, one shard and any higher count all match
+    /// bitwise.
     #[test]
     fn any_shard_count_matches_unsharded_on_random_graphs(seed in 1u64..u64::MAX) {
         let n = 6;
@@ -258,9 +277,7 @@ proptest! {
         let model = ClusterModel::from_graph(graph, cells).unwrap();
         for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
             let base = ClusterSolveOptions::quick().with_ordering(ordering);
-            // The knob's `1` and the legacy default path are the same
-            // engine by construction (dispatch only enters the sharded
-            // engine at >= 2); pin it anyway.
+            // Unset, the shard count follows the thread count.
             let implicit = model.solve(&base).unwrap();
             let explicit = model.solve(&base.clone().with_shards(1)).unwrap();
             assert_bitwise_equal(&implicit, &explicit, "shards=1 vs default");
