@@ -1,8 +1,10 @@
-//! Generator benchmarks: transition enumeration and assembly.
+//! Generator benchmarks: transition enumeration and assembly, the
+//! latter also sequential vs row-parallel (`assemble_*`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gprs_bench::{medium_model, small_model};
 use gprs_ctmc::{IncomingTransitions, SparseGenerator, Transitions};
+use gprs_exec::num_threads;
 
 fn bench_enumeration(c: &mut Criterion) {
     let model = medium_model();
@@ -45,6 +47,23 @@ fn bench_sparse_assembly(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_assembly(c: &mut Criterion) {
+    for (label, model) in [
+        ("small_15k", small_model()),
+        ("medium_190k", medium_model()),
+    ] {
+        let mut g = c.benchmark_group(format!("assemble_{label}"));
+        g.sample_size(5);
+        g.bench_function("sequential", |b| {
+            b.iter(|| SparseGenerator::from_transitions(&model).unwrap())
+        });
+        g.bench_function("parallel", |b| {
+            b.iter(|| SparseGenerator::from_transitions_par(&model, num_threads()).unwrap())
+        });
+        g.finish();
+    }
+}
+
 fn bench_state_codec(c: &mut Criterion) {
     let model = medium_model();
     let space = *model.space();
@@ -68,6 +87,7 @@ criterion_group!(
     benches,
     bench_enumeration,
     bench_sparse_assembly,
+    bench_assembly,
     bench_state_codec
 );
 criterion_main!(benches);

@@ -1,19 +1,29 @@
 //! Symbolic/numeric split benchmarks: the chunked template-refill sweep
-//! against the historical per-point rebuild, plus the cluster-style
+//! against the historical per-point rebuild, the cluster-style
 //! repeated cell solve (template refill vs model rebuild per outer
-//! iteration).
+//! iteration), and the sequential vs parallel sweep.
 //!
 //! Before timing, refill-vs-rebuild bit-identity is asserted: cold
 //! template solves must equal the fresh allocating path exactly, and
 //! the parallel sweep must equal the sequential sweep bit-for-bit at
 //! 1/2/8 workers (the warm-start contract of `gprs_core::sweep`).
+//!
+//! `sweep8_*` runs an 8-point arrival-rate sweep (the paper's x-axis)
+//! sequentially vs fanned out over the machine's threads, at the
+//! ~15k-state and ~190k-state fixtures. On a multi-core runner the
+//! parallel sweep approaches `min(threads, 8)`× the sequential
+//! throughput; before timing, both paths are checked to agree within
+//! solver tolerance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gprs_bench::{figure_sweep_cell, small_model, sweep_rebuild};
-use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
+use gprs_bench::{figure_sweep_cell, medium_model, small_model, sweep_rebuild};
+use gprs_core::sweep::{
+    par_sweep_arrival_rates, par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates,
+};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
 use gprs_core::{CellConfig, GprsModel};
 use gprs_ctmc::SolveOptions;
+use gprs_exec::num_threads;
 
 fn opts() -> SolveOptions {
     SolveOptions::quick().with_max_sweeps(200_000)
@@ -122,5 +132,45 @@ fn bench_cell_iterations(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sweep, bench_cell_iterations);
+fn check_agreement(model: &GprsModel, rates: &[f64]) {
+    let seq = sweep_arrival_rates(model.config(), rates, &opts()).expect("sequential sweep");
+    let par = par_sweep_arrival_rates(model.config(), rates, &opts()).expect("parallel sweep");
+    assert_eq!(seq.len(), par.len());
+    for (s, p) in seq.iter().zip(&par) {
+        assert_eq!(s.rate, p.rate, "points must come back in rate order");
+        let diff = (s.measures.carried_data_traffic - p.measures.carried_data_traffic).abs();
+        assert!(
+            diff <= 1e-8,
+            "sequential and parallel sweeps disagree at rate {}: {diff:.3e}",
+            s.rate
+        );
+    }
+}
+
+fn bench_sweep_pipeline(c: &mut Criterion) {
+    println!("parallel sweep workers: {}", num_threads());
+    for (label, model) in [
+        ("small_15k", small_model()),
+        ("medium_190k", medium_model()),
+    ] {
+        let rates = rate_grid(0.1, 1.0, 8);
+        check_agreement(&model, &rates);
+        let mut g = c.benchmark_group(format!("sweep8_{label}"));
+        g.sample_size(3);
+        g.bench_function("sequential", |b| {
+            b.iter(|| sweep_arrival_rates(model.config(), &rates, &opts()).unwrap())
+        });
+        g.bench_function("parallel", |b| {
+            b.iter(|| par_sweep_arrival_rates(model.config(), &rates, &opts()).unwrap())
+        });
+        g.finish();
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_sweep,
+    bench_cell_iterations,
+    bench_sweep_pipeline
+);
 criterion_main!(benches);

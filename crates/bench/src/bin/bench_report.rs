@@ -51,9 +51,10 @@ use gprs_core::codec::{parse_json, JsonValue};
 use gprs_core::sweep::{
     par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates, sweep_arrival_rates_mode,
 };
-use gprs_core::template::{GeneratorTemplate, WarmStart};
-use gprs_core::{CellConfig, CellGraph, Scenario, SolveRung};
-use gprs_ctmc::SolveOptions;
+use gprs_core::template::WarmStart;
+use gprs_core::{CellConfig, CellGraph, GprsModel, Scenario, SolveRung};
+use gprs_ctmc::mbd::solve_mbd_projected_ws;
+use gprs_ctmc::{solve_mbd_projected_blocked_ws, BlockedMbd, SolveOptions, SolveWorkspace};
 use gprs_exec::num_threads;
 use gprs_sim::{run_replications, ReplicationOptions, SimConfig, TargetMeasure};
 use gprs_traffic::TrafficModel;
@@ -136,40 +137,39 @@ fn main() {
     let sweep_refill_pps = rates.len() as f64 / refill_s;
 
     // --- Kernel microbench: repeated cold solves of the figure cell,
-    // scalar (trait-dispatched) vs cache-blocked (phase-major tables).
-    // Cold starts so every rep runs the full sweep count; the blocked
+    // scalar (`mbd::solve_mbd_projected_ws`, trait-dispatched) vs
+    // cache-blocked (`BlockedMbd` capture + phase-major tables, the
+    // kernel every template solve runs). Every rep starts cold from the
+    // product-form guess so it runs the full sweep count; the blocked
     // kernel must agree on that count (it is bit-identical), which is
     // asserted before the rates are trusted. ---
     let kernel_reps = if quick { 8 } else { 20 };
-    let kernel_time = |blocked: bool| -> (f64, usize, usize) {
-        let mut template = GeneratorTemplate::new(&base).expect("template");
-        template.set_blocked_kernel(Some(blocked));
-        let model = template.model_for(base.clone()).expect("model");
-        // One warm-up solve so allocations and captures are in place.
-        template
-            .solve(&model, &solve_opts, WarmStart::Cold)
-            .expect("warm-up solve");
-        template.reset_stats();
-        let (secs, _) = timed(|| {
-            for _ in 0..kernel_reps {
-                template
-                    .solve(&model, &solve_opts, WarmStart::Cold)
-                    .expect("kernel solve");
-            }
-        });
-        (
-            secs,
-            template.stats().total_sweeps,
-            template.stationary().len(),
-        )
+    let kernel_model = GprsModel::new(base.clone()).expect("model");
+    let marginal = kernel_model.phase_marginal();
+    let guess = kernel_model.product_form_guess();
+    let kernel_rows = guess.len();
+    let kernel_time = |solve: &mut dyn FnMut(&mut SolveWorkspace) -> usize| -> (f64, usize) {
+        let mut ws = SolveWorkspace::new();
+        // One warm-up solve so allocations are in place.
+        solve(&mut ws);
+        timed(|| (0..kernel_reps).map(|_| solve(&mut ws)).sum())
     };
-    let (scalar_s, scalar_sweeps, kernel_rows) = kernel_time(false);
-    let (blocked_s, blocked_sweeps, blocked_rows) = kernel_time(true);
+    let (scalar_s, scalar_sweeps) = kernel_time(&mut |ws| {
+        solve_mbd_projected_ws(&kernel_model, &marginal, Some(&guess), &solve_opts, ws)
+            .expect("scalar kernel solve")
+            .sweeps
+    });
+    let mut blocked = BlockedMbd::new();
+    let (blocked_s, blocked_sweeps) = kernel_time(&mut |ws| {
+        blocked.capture(&kernel_model);
+        solve_mbd_projected_blocked_ws(&blocked, &marginal, Some(&guess), &solve_opts, ws)
+            .expect("blocked kernel solve")
+            .sweeps
+    });
     assert_eq!(
         scalar_sweeps, blocked_sweeps,
         "blocked kernel must run the exact scalar sweep count"
     );
-    assert_eq!(kernel_rows, blocked_rows);
     let scalar_sweeps_per_sec = scalar_sweeps as f64 / scalar_s;
     let blocked_sweeps_per_sec = blocked_sweeps as f64 / blocked_s;
     let scalar_ns_per_row = scalar_s * 1e9 / (scalar_sweeps as f64 * kernel_rows as f64);

@@ -5,15 +5,13 @@
 //! * `sweep` — the symbolic/numeric split: the chunked template-refill
 //!   sweep vs the historical per-point rebuild on the figure workload
 //!   (target: refill ≥ 2× rebuild), plus the cluster-style repeated
-//!   cell solve. Bit-identity (refill vs rebuild, seq vs par at 1/2/8
-//!   threads) is asserted before timing.
+//!   cell solve, and 8-point sweeps sequential vs fanned out across
+//!   threads at the [`small_model`] and [`medium_model`] fixtures.
+//!   Bit-identity (refill vs rebuild, seq vs par at 1/2/8 threads) is
+//!   asserted before timing.
 //! * `solver` — steady-state solver comparison (block tridiagonal vs
 //!   point Gauss–Seidel vs GTH) across state-space sizes — the ablation
 //!   behind DESIGN.md's solver choice.
-//! * `parallel` — sequential vs parallel pipeline: 8-point sweeps
-//!   fanned out across threads, red-black SOR / Jacobi vs sequential
-//!   Gauss–Seidel, and row-parallel sparse assembly, at the
-//!   [`small_model`] and [`medium_model`] fixtures.
 //! * `cluster` — the heterogeneous 7-cell fixed point: per-iteration
 //!   cell solves sequential vs thread-parallel, plus the load-scale
 //!   sweep (determinism is asserted before timing).
@@ -22,7 +20,7 @@
 //!   scaling efficiency of the shared `gprs-exec` work queue
 //!   (determinism asserted before timing).
 //! * `generator` — transition enumeration and sparse assembly
-//!   throughput.
+//!   throughput, assembly also sequential vs row-parallel.
 //! * `simulator` — discrete-event throughput (events/s) for both radio
 //!   fidelities and with/without TCP.
 //! * `queueing` — Erlang-B, M/M/c/c distributions and handover

@@ -69,11 +69,8 @@ use crate::error::ModelError;
 use crate::generator::GprsModel;
 use crate::health::{SolveHealth, SolveRung};
 use crate::measures::Measures;
-use gprs_ctmc::blocked::{
-    blocked_kernel_enabled, solve_mbd_projected_blocked_inplace_ws, BlockedMbd,
-};
+use gprs_ctmc::blocked::{solve_mbd_projected_blocked_inplace_ws, BlockedMbd};
 use gprs_ctmc::gth::{solve_gth, RECOMMENDED_MAX_STATES};
-use gprs_ctmc::mbd::{mbd_residual_of, solve_mbd_projected_inplace_ws};
 use gprs_ctmc::solver::{solve_gauss_seidel_csr_ws, SolveOptions};
 use gprs_ctmc::{balance_residual, SolveWorkspace, SparseGenerator};
 use std::collections::HashMap;
@@ -390,12 +387,8 @@ pub struct GeneratorTemplate {
     /// How many consecutive solutions the chain holds (0..=2).
     history: usize,
     /// Phase-major blocked rate tables, recaptured per point and fed to
-    /// the cache-blocked kernel when it is enabled.
+    /// the cache-blocked kernel.
     blocked: BlockedMbd,
-    /// Per-template kernel override: `Some(true/false)` forces the
-    /// blocked/scalar kernel, `None` defers to the
-    /// `GPRS_BLOCKED_KERNEL` environment toggle.
-    kernel_override: Option<bool>,
     /// Opt-in partial recapture for chained fixed-point solves (see
     /// [`set_fast_recapture`](Self::set_fast_recapture)).
     fast_recapture: bool,
@@ -443,7 +436,6 @@ impl GeneratorTemplate {
             prev2: Vec::new(),
             history: 0,
             blocked: BlockedMbd::new(),
-            kernel_override: None,
             fast_recapture: false,
             blocked_ready: false,
             residual_scratch: Vec::new(),
@@ -635,18 +627,15 @@ impl GeneratorTemplate {
             self.history = 0;
         }
 
-        let use_blocked = self.kernel_override.unwrap_or_else(blocked_kernel_enabled);
-        if use_blocked {
-            if self.fast_recapture && self.blocked_ready {
-                // Under the fast-recapture contract only the
-                // phase-coupling rates moved since the last capture, so
-                // refreshing the phase tables in place reproduces a
-                // full capture bit for bit at a fraction of the cost.
-                self.blocked.recapture_phase_rates(model);
-            } else {
-                self.blocked.capture(model);
-                self.blocked_ready = true;
-            }
+        if self.fast_recapture && self.blocked_ready {
+            // Under the fast-recapture contract only the phase-coupling
+            // rates moved since the last capture, so refreshing the
+            // phase tables in place reproduces a full capture bit for
+            // bit at a fraction of the cost.
+            self.blocked.recapture_phase_rates(model);
+        } else {
+            self.blocked.capture(model);
+            self.blocked_ready = true;
         }
 
         // Predict-and-verify surrogate: check whether the extrapolated
@@ -664,12 +653,9 @@ impl GeneratorTemplate {
                     *x /= total;
                 }
                 self.stats.residual_checks += 1;
-                let residual = if use_blocked {
-                    self.blocked
-                        .residual(self.ws.pi(), &mut self.residual_scratch)
-                } else {
-                    mbd_residual_of(model, self.ws.pi())
-                };
+                let residual = self
+                    .blocked
+                    .residual(self.ws.pi(), &mut self.residual_scratch);
                 if residual.is_finite() && residual <= opts.tolerance {
                     // Accept: the verified, exactly normalized
                     // prediction is already the workspace iterate and
@@ -689,16 +675,12 @@ impl GeneratorTemplate {
             }
         }
 
-        let result = if use_blocked {
-            solve_mbd_projected_blocked_inplace_ws(
-                &self.blocked,
-                &self.marginal,
-                opts,
-                &mut self.ws,
-            )
-        } else {
-            solve_mbd_projected_inplace_ws(model, &self.marginal, opts, &mut self.ws)
-        };
+        let result = solve_mbd_projected_blocked_inplace_ws(
+            &self.blocked,
+            &self.marginal,
+            opts,
+            &mut self.ws,
+        );
         let stats = match result {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
@@ -1025,16 +1007,6 @@ impl GeneratorTemplate {
     pub fn reset_stats(&mut self) {
         self.stats = TemplateStats::default();
     }
-
-    /// Forces the MBD kernel choice for this template: `Some(true)` the
-    /// cache-blocked kernel, `Some(false)` the scalar kernel, `None`
-    /// (the default) the `GPRS_BLOCKED_KERNEL` environment toggle. Both
-    /// kernels are bit-identical; this exists for benchmarking and for
-    /// exercising both code paths in tests without process-global env
-    /// races.
-    pub fn set_blocked_kernel(&mut self, forced: Option<bool>) {
-        self.kernel_override = forced;
-    }
 }
 
 /// A shared pool of same-shape [`GeneratorTemplate`]s for parallel
@@ -1135,8 +1107,6 @@ mod tests {
         let cfg = tiny(0.4);
         let mut plain = GeneratorTemplate::new(&cfg).unwrap();
         let mut fast = GeneratorTemplate::new(&cfg).unwrap();
-        plain.set_blocked_kernel(Some(true));
-        fast.set_blocked_kernel(Some(true));
         fast.set_fast_recapture(true);
         for (gsm_h, gprs_h) in [(0.05, 0.3), (0.08, 0.45), (0.03, 0.2), (0.11, 0.6)] {
             let model = plain

@@ -7,8 +7,8 @@
 use gprs_core::sweep::{par_sweep_arrival_rates_mode, rate_grid, sweep_arrival_rates_mode};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
 use gprs_core::{CellConfig, GprsModel, SolveRung};
-use gprs_ctmc::mbd::mbd_residual_of;
-use gprs_ctmc::SolveOptions;
+use gprs_ctmc::mbd::{mbd_residual_of, solve_mbd_projected_ws};
+use gprs_ctmc::{solve_mbd_projected_blocked_inplace_ws, BlockedMbd, SolveOptions, SolveWorkspace};
 use gprs_traffic::SessionParams;
 use proptest::prelude::*;
 
@@ -38,6 +38,18 @@ fn config_strategy() -> impl Strategy<Value = CellConfig> {
                 .build()
                 .expect("strategy yields valid configs")
         })
+}
+
+/// Strategy for the repeating pattern of a warm start: non-negative
+/// weights, about a quarter of them exactly zero, with positive mass.
+fn warm_pattern_strategy() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(0.0f64..1.0, 1..40)
+        .prop_map(|w| {
+            w.into_iter()
+                .map(|x| if x < 0.25 { 0.0 } else { x })
+                .collect::<Vec<f64>>()
+        })
+        .prop_filter("positive mass", |w| w.iter().any(|&x| x > 0.0))
 }
 
 proptest! {
@@ -120,16 +132,12 @@ proptest! {
     /// The predict-and-verify surrogate **never** serves a point whose
     /// true balance residual — recomputed from scratch on the vector
     /// the caller actually receives — exceeds the solve tolerance.
-    /// This is the surrogate's safety contract, checked under both the
-    /// blocked and the scalar residual evaluator.
+    /// This is the surrogate's safety contract; the recheck uses the
+    /// scalar evaluator, the template's check the blocked one.
     #[test]
-    fn surrogate_never_accepts_a_point_above_tolerance(
-        cfg in config_strategy(),
-        blocked in any::<bool>(),
-    ) {
+    fn surrogate_never_accepts_a_point_above_tolerance(cfg in config_strategy()) {
         let opts = SolveOptions::quick();
         let mut template = GeneratorTemplate::new(&cfg).unwrap();
-        template.set_blocked_kernel(Some(blocked));
         let mut served = 0usize;
         for &rate in rate_grid(0.1, 1.0, 6).iter() {
             let mut c = cfg.clone();
@@ -156,37 +164,54 @@ proptest! {
         prop_assert!(stats.predicted >= stats.accepted);
     }
 
-    /// Forcing the cache-blocked kernel on and off produces bitwise
-    /// identical templates: same sweeps, residual bits, stationary
-    /// bits, health rungs and lifetime stats — across random cell
-    /// shapes, warm modes, and the surrogate's accept/reject decision
-    /// (the blocked residual evaluator is a bitwise mirror of the
-    /// scalar one, so the surrogate fires identically on both).
+    /// The cache-blocked kernel every template solve runs reproduces
+    /// the scalar kernel bit for bit: from the same warm start, a
+    /// `BlockedMbd` capture plus the staged in-place solve gives the
+    /// same stationary bits, sweeps, residual bits and residual
+    /// evaluations as the scalar `solve_mbd_projected_ws` — and the
+    /// blocked residual, the surrogate's evaluator, equals
+    /// `mbd_residual_of` bitwise on the warm start and on the solution.
     #[test]
-    fn blocked_kernel_is_bit_identical_to_scalar(cfg in config_strategy()) {
+    fn blocked_kernel_is_bit_identical_to_scalar(
+        cfg in config_strategy(),
+        rate in 0.05f64..2.0,
+        pattern in warm_pattern_strategy(),
+    ) {
         let opts = SolveOptions::quick();
-        let rates = rate_grid(0.1, 1.0, 6);
-        let mut scalar_t = GeneratorTemplate::new(&cfg).unwrap();
-        scalar_t.set_blocked_kernel(Some(false));
-        let mut blocked_t = GeneratorTemplate::new(&cfg).unwrap();
-        blocked_t.set_blocked_kernel(Some(true));
-        for warm in [WarmStart::Chained, WarmStart::Predicted] {
-            scalar_t.reset_chain();
-            blocked_t.reset_chain();
-            for &rate in rates.iter() {
-                let mut c = cfg.clone();
-                c.call_arrival_rate = rate;
-                let ms = scalar_t.model_for(c.clone()).unwrap();
-                let mb = blocked_t.model_for(c).unwrap();
-                let ps = scalar_t.solve(&ms, &opts, warm).unwrap();
-                let pb = blocked_t.solve(&mb, &opts, warm).unwrap();
-                prop_assert_eq!(ps.health.rung, pb.health.rung, "rate {}", rate);
-                prop_assert_eq!(ps.sweeps, pb.sweeps);
-                prop_assert_eq!(ps.residual.to_bits(), pb.residual.to_bits());
-                prop_assert_eq!(scalar_t.stationary(), blocked_t.stationary());
-            }
-        }
-        prop_assert_eq!(scalar_t.stats(), blocked_t.stats());
+        let mut c = cfg.clone();
+        c.call_arrival_rate = rate;
+        let model = GprsModel::new(c).unwrap();
+        let marginal = model.phase_marginal();
+        let n = model.space().num_states();
+        let warm: Vec<f64> = (0..n).map(|i| pattern[i % pattern.len()]).collect();
+
+        let mut ws_s = SolveWorkspace::new();
+        let scalar = solve_mbd_projected_ws(&model, &marginal, Some(&warm), &opts, &mut ws_s)
+            .unwrap();
+
+        let mut blocked = BlockedMbd::new();
+        blocked.capture(&model);
+        let mut scratch = Vec::new();
+        prop_assert_eq!(
+            blocked.residual(&warm, &mut scratch).to_bits(),
+            mbd_residual_of(&model, &warm).to_bits()
+        );
+        let mut ws_b = SolveWorkspace::new();
+        let staged = ws_b.pi_mut();
+        staged.clear();
+        staged.extend_from_slice(&warm);
+        let fast = solve_mbd_projected_blocked_inplace_ws(&blocked, &marginal, &opts, &mut ws_b)
+            .unwrap();
+
+        prop_assert_eq!(scalar.sweeps, fast.sweeps);
+        prop_assert_eq!(scalar.residual.to_bits(), fast.residual.to_bits());
+        prop_assert_eq!(scalar.residual_evals, fast.residual_evals);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(ws_s.pi()), bits(ws_b.pi()));
+        prop_assert_eq!(
+            blocked.residual(ws_b.pi(), &mut scratch).to_bits(),
+            mbd_residual_of(&model, ws_s.pi()).to_bits()
+        );
     }
 }
 

@@ -17,8 +17,9 @@
 //! but with every inner loop a contiguous, branch-free slice scan the
 //! compiler can unroll and vectorize. The floating-point operations and
 //! their order are **exactly** those of the scalar kernel, so blocked
-//! and scalar solves are bit-identical — pinned by the tests below and
-//! by the template-level preflights in `gprs_core`.
+//! and scalar solves are bit-identical — pinned by the tests below, by
+//! the kernel-level proptest in `gprs_core`'s template tests and by the
+//! scalar-rendered sweep fixture `tests/fixtures/sweep_chains.txt`.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
@@ -30,24 +31,6 @@
 use crate::error::CtmcError;
 use crate::mbd::{validate_phase_marginal, ModulatedBirthDeath};
 use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace, WarmInit};
-
-/// Whether the blocked MBD kernel is enabled for template solves.
-///
-/// Controlled by the `GPRS_BLOCKED_KERNEL` environment variable: unset
-/// or any value other than `0` / `false` / `off` / `no` (case
-/// insensitive) means enabled. Since blocked and scalar kernels are
-/// bit-identical this toggle never changes results — it exists so CI
-/// can run the full test matrix over both code paths and so regressions
-/// can be bisected to layout vs. arithmetic.
-pub fn blocked_kernel_enabled() -> bool {
-    match std::env::var("GPRS_BLOCKED_KERNEL") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// Phase-major blocked rate tables of a [`ModulatedBirthDeath`] chain.
 ///
@@ -290,12 +273,15 @@ pub fn solve_mbd_projected_blocked_ws(
 /// start is whatever the caller staged in `ws.pi()` (via
 /// [`SolveWorkspace::pi_mut`]) — normalized and iterated on without the
 /// copy. Bit-identical to passing the same vector through
-/// [`solve_mbd_projected_blocked_ws`], and the blocked twin of
-/// [`crate::mbd::solve_mbd_projected_inplace_ws`].
+/// [`solve_mbd_projected_blocked_ws`], and so to
+/// [`crate::mbd::solve_mbd_projected_ws`] with that warm start.
 ///
 /// # Errors
 ///
-/// As [`crate::mbd::solve_mbd_projected_inplace_ws`].
+/// As [`solve_mbd_projected_blocked_ws`]; additionally
+/// [`CtmcError::DimensionMismatch`] if the staged iterate has the wrong
+/// length and [`CtmcError::InvalidGenerator`] if it is not non-negative
+/// with positive mass.
 pub fn solve_mbd_projected_blocked_inplace_ws(
     blocked: &BlockedMbd,
     phase_marginal: &[f64],
@@ -323,8 +309,9 @@ pub fn solve_mbd_blocked_ws(
 
 /// The blocked twin of `solve_mbd_inner`: identical control flow and
 /// arithmetic, table reads in place of trait calls. Any edit here must
-/// be mirrored there (and vice versa) — the bitwise tests below and the
-/// template preflights in `gprs_core` enforce the pairing.
+/// be mirrored there (and vice versa) — the bitwise tests below, the
+/// kernel-level proptest in `gprs_core` and the sweep fixture enforce
+/// the pairing.
 fn solve_blocked_inner(
     b: &BlockedMbd,
     phase_marginal: Option<&[f64]>,
@@ -694,12 +681,5 @@ mod tests {
         let bl = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws_b).unwrap();
         assert_eq!(s.sweeps, bl.sweeps);
         assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "recapture");
-    }
-
-    #[test]
-    fn env_toggle_parses_disabling_values() {
-        // Can't set the process env safely under the test harness;
-        // exercise the default path only (unset or enabled in CI).
-        let _ = blocked_kernel_enabled();
     }
 }

@@ -11,7 +11,7 @@
 //! to `j` and `q_ii = -Σ_{j != i} q_ij`. The stationary distribution `π`
 //! solves `π Q = 0` with `Σ π_i = 1`.
 //!
-//! Three solvers are provided:
+//! Three stationary solvers are provided:
 //!
 //! * [`gth::solve_gth`] — the Grassmann–Taksar–Heyman direct elimination.
 //!   Numerically stable (no subtractions), `O(n³)`; the ground truth for
@@ -20,13 +20,11 @@
 //!   *incoming* transitions. Works matrix-free through the
 //!   [`IncomingTransitions`] trait, so chains with tens of millions of
 //!   states never materialize a matrix.
-//! * [`power::solve_power`] — uniformization-based power iteration over
-//!   *outgoing* transitions. Simple and robust but slow on stiff chains;
-//!   used for cross-checks.
-//! * [`parallel`] — multithreaded solvers over assembled sparse
-//!   generators: red-black (multicolor) SOR and damped Jacobi, with the
-//!   balance residual fused into the sweeps. Thread counts honour
-//!   `RAYON_NUM_THREADS`.
+//! * [`mbd::solve_mbd_projected`] — block Gauss–Seidel over the phases
+//!   of a modulated birth-death chain, with each level column solved
+//!   exactly and the phase marginal re-projected every sweep;
+//!   [`blocked::solve_mbd_projected_blocked_ws`] runs the same
+//!   arithmetic, bit for bit, over cache-blocked rate tables.
 //!
 //! Generators can be represented either as an assembled sparse matrix
 //! ([`SparseGenerator`], built via [`TripletBuilder`]) or as a matrix-free
@@ -72,8 +70,6 @@ pub mod dense;
 pub mod error;
 pub mod gth;
 pub mod mbd;
-pub mod parallel;
-pub mod power;
 pub mod solver;
 pub mod sparse;
 pub mod stationary;
@@ -81,11 +77,9 @@ pub mod transient;
 pub mod transitions;
 
 pub use blocked::{
-    blocked_kernel_enabled, solve_mbd_projected_blocked_inplace_ws, solve_mbd_projected_blocked_ws,
-    BlockedMbd,
+    solve_mbd_projected_blocked_inplace_ws, solve_mbd_projected_blocked_ws, BlockedMbd,
 };
 pub use error::CtmcError;
-pub use parallel::{solve_parallel, ParallelMethod, RedBlackSor};
 pub use solver::{Solution, SolveOptions, SolveStats, SolveWorkspace};
 pub use sparse::{SparseGenerator, TripletBuilder};
 pub use stationary::StationaryDistribution;

@@ -200,29 +200,6 @@ pub fn solve_mbd_projected_ws<G: ModulatedBirthDeath + ?Sized>(
     )
 }
 
-/// [`solve_mbd_projected_ws`] seeded **in place**: the warm start is
-/// whatever the caller staged in `ws.pi()` (via
-/// [`SolveWorkspace::pi_mut`]) — it is normalized and iterated on
-/// without the copy the `warm_start: Option<&[f64]>` entry points pay.
-/// The arithmetic is bit-identical to passing the same vector through
-/// [`solve_mbd_projected_ws`].
-///
-/// # Errors
-///
-/// As [`solve_mbd_projected`]; additionally
-/// [`CtmcError::DimensionMismatch`] if the staged iterate has the wrong
-/// length and [`CtmcError::InvalidGenerator`] if it is not non-negative
-/// with positive mass.
-pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    phase_marginal: &[f64],
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
-    validate_phase_marginal(gen.num_phases(), phase_marginal)?;
-    solve_mbd_inner(gen, Some(phase_marginal), WarmInit::InPlace, opts, ws)
-}
-
 /// Shared marginal validation of the projected solvers (scalar here,
 /// blocked in [`crate::blocked`]) — one definition so both entry points
 /// reject exactly the same inputs.

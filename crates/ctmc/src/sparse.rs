@@ -2,11 +2,11 @@
 //! them.
 //!
 //! Assembly is a single validation-and-build pass: triplets are
-//! validated while the sort runs (in parallel chunks for large inputs —
-//! see [`crate::parallel`]), then merged straight into the CSR arrays
-//! and their transpose. Large matrix-free models can also be assembled
-//! with [`SparseGenerator::from_transitions_par`], which enumerates
-//! row ranges across threads.
+//! validated while the sort runs (in parallel chunks for large inputs,
+//! on the `gprs_exec` fan-out helpers), then merged straight into the
+//! CSR arrays and their transpose. Large matrix-free models can also be
+//! assembled with [`SparseGenerator::from_transitions_par`], which
+//! enumerates row ranges across threads.
 
 use crate::error::CtmcError;
 use crate::transitions::{IncomingTransitions, Transitions};

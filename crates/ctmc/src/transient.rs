@@ -40,6 +40,11 @@ use crate::transitions::Transitions;
 /// the cumulative weight exceeds `1 - POISSON_TAIL_EPS`.
 pub const POISSON_TAIL_EPS: f64 = 1e-12;
 
+/// Head-room factor applied to the maximum exit rate when uniformizing;
+/// keeps the self-loop probability strictly positive, which breaks
+/// periodicity.
+pub const UNIFORMIZATION_HEADROOM: f64 = 1.02;
+
 /// Computes the transient distribution `π(t)` from initial distribution
 /// `pi0`. Equivalent, bit for bit, to one horizon of
 /// [`solve_transient_at`].
@@ -145,7 +150,7 @@ pub fn solve_transient_at<G: Transitions + ?Sized>(
     if max_exit == 0.0 || times.iter().all(|&t| t == 0.0) {
         return Ok(times.iter().map(|_| pi0.to_vec()).collect());
     }
-    let lambda = max_exit * crate::power::UNIFORMIZATION_HEADROOM;
+    let lambda = max_exit * UNIFORMIZATION_HEADROOM;
     let chain = Captured::new(gen, &exit, lambda)?;
 
     let mut horizons: Vec<Horizon> = times.iter().map(|&t| Horizon::new(lambda * t, n)).collect();

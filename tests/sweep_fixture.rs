@@ -2,8 +2,10 @@
 //! fixture rather than in a second live kernel.
 //!
 //! `tests/fixtures/sweep_chains.txt` was rendered with every template
-//! solve forced through the scalar MBD kernel, before the run-time
-//! choice between the scalar and the cache-blocked kernel was removed.
+//! solve forced through the scalar MBD kernel, back when templates
+//! could run either kernel; templates now always run the cache-blocked
+//! kernel, which must reproduce the scalar bits.
+//!
 //! It records, as 64-bit patterns, every point of 10-point arrival-rate
 //! sweeps — all sixteen [`Measures`], the sweep count, the residual and
 //! the fallback rung — in both the `Chained` and the `Predicted`
@@ -183,7 +185,6 @@ fn render_fixture() -> String {
     let (rates, opts) = narrow_run();
     let base = tm3_three_sessions();
     let mut template = GeneratorTemplate::new(&base).unwrap();
-    template.set_blocked_kernel(Some(false));
     for warm in [WarmStart::Chained, WarmStart::Predicted] {
         template.reset_chain();
         for &rate in &rates {
